@@ -6,7 +6,7 @@ program, and verifying the prediction empirically with seeded Monte Carlo
 experiments.
 """
 
-from wbp.kernels import erfc, phi, phi_prime
+from wbp.kernels import phi, phi_prime
 from wbp.model import (
     AppliedStrategy,
     PartitionModel,
@@ -31,7 +31,7 @@ from wbp.thresholds import (
     statdim_bounds,
     threshold_objective,
 )
-from wbp.geometry import dist_sq_terms, dist_sq_to_subdiff, dual_norm_check, mc_expected_dist_sq
+from wbp.geometry import dist_sq_to_subdiff, mc_expected_dist_sq
 from wbp.solver import (
     BPProblem,
     BPSolution,
@@ -72,10 +72,7 @@ __all__ = [
     "Weights",
     "apply_strategy",
     "blockwise_threshold",
-    "dist_sq_terms",
     "dist_sq_to_subdiff",
-    "dual_norm_check",
-    "erfc",
     "generate_instance",
     "kkt_residuals",
     "l1_threshold",

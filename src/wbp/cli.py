@@ -54,9 +54,6 @@ def cmd_weights(args) -> int:
     alphas = _csv_list(args.alpha, parse_fraction)
     if not alphas:
         raise ValueError("--alpha requires at least one value")
-    for a in alphas:
-        if not (0.0 < a <= 1.0):
-            raise ValueError(f"alpha entries must lie in (0, 1], got {a}")
     # the roots depend only on alpha; --d/--blocks are accepted for symmetry
     # with the other commands and checked for consistency when given
     if args.blocks:

@@ -30,32 +30,27 @@ def _expanded(weights) -> np.ndarray:
     return np.asarray(weights, dtype=float)
 
 
-def dist_sq_terms(
-    g: np.ndarray, instance: SupportInstance, weights, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate contributions (on-support, off-support) to the distance.
+def dist_sq_to_subdiff(g: np.ndarray, instance: SupportInstance, weights, tau: float):
+    """Squared distance from g to tau times the weighted-l1 subdifferential at x0.
 
     The subdifferential at x0 is the product set {p : p_j = w_j sign(x0_j)
     on the support, |p_j| <= w_j off it}, so the projection of g decouples:
     on-support coordinates pay the full offset to the fixed point, off-support
-    ones only the overshoot beyond the box.
+    ones only the overshoot beyond the box.  ``g`` may carry leading axes
+    (one sample per row); the last axis indexes coordinates.  Returns a float
+    for a single sample and an array over the leading axes otherwise.
     """
     g = np.asarray(g, dtype=float)
     w = _expanded(weights)
-    if g.shape != (instance.d,) or w.shape != (instance.d,):
+    if g.ndim == 0 or g.shape[-1] != instance.d or w.shape != (instance.d,):
         raise ValueError("g and weights must expand to the instance dimension")
     if tau < 0.0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     on = instance.support_mask
-    fixed = g[on] - instance.signs * w[on] * tau
-    slack = np.maximum(np.abs(g[~on]) - w[~on] * tau, 0.0)
-    return fixed * fixed, slack * slack
-
-
-def dist_sq_to_subdiff(g: np.ndarray, instance: SupportInstance, weights, tau: float) -> float:
-    """Squared distance from g to tau times the weighted-l1 subdifferential at x0."""
-    on_terms, off_terms = dist_sq_terms(g, instance, weights, tau)
-    return float(on_terms.sum() + off_terms.sum())
+    fixed = g[..., on] - instance.signs * w[on] * tau
+    slack = np.maximum(np.abs(g[..., ~on]) - w[~on] * tau, 0.0)
+    vals = np.einsum("...j,...j->...", fixed, fixed) + np.einsum("...j,...j->...", slack, slack)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def mc_expected_dist_sq(
@@ -83,10 +78,6 @@ def mc_expected_dist_sq(
     inst_ss, g_ss = ss.spawn(2)
 
     inst = generate_instance(model, inst_ss)
-    w = weights.expand()
-    on = inst.support_mask
-    shift = inst.signs * w[on] * tau
-    box = w[~on] * tau
 
     rng = np.random.default_rng(g_ss)
     total = 0.0
@@ -94,10 +85,7 @@ def mc_expected_dist_sq(
     done = 0
     while done < n_samples:
         n = min(_CHUNK, n_samples - done)
-        g = rng.standard_normal((n, model.d))
-        fixed = g[:, on] - shift
-        slack = np.maximum(np.abs(g[:, ~on]) - box, 0.0)
-        vals = np.einsum("ij,ij->i", fixed, fixed) + np.einsum("ij,ij->i", slack, slack)
+        vals = dist_sq_to_subdiff(rng.standard_normal((n, model.d)), inst, weights, tau)
         vals /= model.d
         total += vals.sum()
         total_sq += (vals * vals).sum()
@@ -105,28 +93,3 @@ def mc_expected_dist_sq(
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
     return mean, float(np.sqrt(var / n_samples))
-
-
-def dual_norm_check(p: np.ndarray, weights) -> float:
-    """Dual norm of ||.||_{1,w} at p: max_j |p_j| / w_j, with its witness verified.
-
-    The supremum of <p, v> over the weighted-l1 unit sphere is attained at a
-    single-coordinate sign vector v = sign(p_j*) / w_j* e_j*; the function
-    evaluates that witness and asserts it reproduces the max ratio before
-    returning it.  Strictly positive weights required.
-    """
-    p = np.asarray(p, dtype=float)
-    w = _expanded(weights)
-    if p.shape != w.shape:
-        raise ValueError("p and weights must expand to one shape")
-    if np.any(w <= 0.0):
-        raise ValueError("dual norm requires strictly positive weights")
-    ratios = np.abs(p) / w
-    j = int(np.argmax(ratios))
-    value = float(ratios[j])
-    # witness: v has a single nonzero sign(p_j)/w_j entry, so ||v||_{1,w} = 1
-    sign = 1.0 if p[j] >= 0 else -1.0
-    witness_value = p[j] * sign / w[j]
-    if abs(witness_value - value) > 1e-12 * max(1.0, value):  # pragma: no cover
-        raise AssertionError("extremal single-coordinate witness failed to attain the max")
-    return value

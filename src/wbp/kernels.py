@@ -31,12 +31,6 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _T_CAP = 50.0
 
 
-def erfc(t):
-    """Complementary error function, elementwise on scalars or arrays."""
-    out = special.erfc(np.asarray(t, dtype=float))
-    return float(out) if np.ndim(t) == 0 else out
-
-
 def phi(t):
     """Truncated Gaussian second moment sqrt(2/pi) * int_t^inf (x-t)^2 e^{-x^2/2} dx.
 

@@ -147,9 +147,6 @@ class Weights:
         """Per-index weight vector of length d."""
         return np.repeat(np.asarray(self.omega, dtype=float), self.block_sizes)
 
-    def scaled(self, c: float) -> "Weights":
-        return Weights(tuple(c * w for w in self.omega), self.block_sizes)
-
 
 @dataclass(frozen=True)
 class Strategy:
@@ -320,7 +317,6 @@ class SupportInstance:
     d: int
     support: np.ndarray  # sorted global indices of the support
     values: np.ndarray  # nonzero entries, aligned with ``support``
-    block_of: np.ndarray  # length-d map from index to block
 
     @property
     def signs(self) -> np.ndarray:
@@ -357,6 +353,4 @@ def generate_instance(model: PartitionModel, seed: SeedLike) -> SupportInstance:
     while np.any(values == 0.0):
         redo = values == 0.0
         values[redo] = rng.standard_normal(int(redo.sum()))
-    return SupportInstance(
-        d=model.d, support=support, values=values, block_of=model.block_of_index()
-    )
+    return SupportInstance(d=model.d, support=support, values=values)

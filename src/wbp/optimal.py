@@ -1,4 +1,4 @@
-"""Optimal per-block weights via a scalar fixed-point equation.
+"""Optimal per-block weights, computed one block at a time.
 
 For a block with support fraction ``alpha``, the weight minimizing the
 block's contribution to the phase-transition threshold solves
@@ -14,7 +14,12 @@ f is strictly increasing (f'(w) = alpha + (1 - alpha) * erfc(w/sqrt(2)) > 0)
 with f(0) = -(1 - alpha) * sqrt(2/pi) < 0 for alpha < 1, so bisection on a
 doubling bracket converges unconditionally.  Fully observed blocks
 (alpha = 1) get weight exactly 0.  The root depends only on alpha, never on
-the block's size fraction.
+the block's size fraction, so the weights decouple across blocks.
+
+The same root is the minimizer of the block's plain-l1 threshold (the k = 1
+objective under unit weight), so at the raw optimal weights the threshold
+splits into per-block plain-l1 thresholds: :func:`weight_objective` at
+``optimal_weights(model).raw`` is the optimal threshold itself.
 """
 
 from __future__ import annotations
@@ -28,6 +33,28 @@ from wbp.model import PartitionModel, Weights
 
 _BISECT_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
+
+
+def increasing_root(f, lo: float, tol: float = _BISECT_TOL) -> float:
+    """Root of a strictly increasing ``f`` with ``f(lo) < 0``, to width ``tol``.
+
+    Doubles the right end from 1 until ``f`` turns non-negative, then bisects
+    on the invariant ``f(lo) < 0 <= f(hi)`` and returns the midpoint.
+    """
+    hi = 1.0
+    doublings = 0
+    while f(hi) < 0.0:
+        lo, hi = hi, 2.0 * hi
+        doublings += 1
+        if doublings > 60:  # pragma: no cover - both callers grow linearly
+            raise RuntimeError("failed to bracket the root")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _fixed_point_residual(w: float, alpha: float) -> float:
@@ -46,20 +73,7 @@ def optimal_weight(alpha: float, tol: float = _BISECT_TOL) -> float:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if alpha == 1.0:
         return 0.0
-    lo, hi = 0.0, 1.0
-    doublings = 0
-    while _fixed_point_residual(hi, alpha) <= 0.0:
-        lo, hi = hi, 2.0 * hi
-        doublings += 1
-        if doublings > 60:  # pragma: no cover - f(w) ~ alpha*w for large w
-            raise RuntimeError("failed to bracket the optimal-weight root")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _fixed_point_residual(mid, alpha) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+    root = increasing_root(lambda w: _fixed_point_residual(w, alpha), 0.0, tol)
     residual = _fixed_point_residual(root, alpha)
     if abs(residual) > _RESIDUAL_TOL:  # pragma: no cover
         raise RuntimeError(

@@ -20,13 +20,17 @@ equality w_j sign(x_j) on the support of the solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import null_space
 
 from wbp.ipm import solve_lp
 
 _RESIDUAL_SCALE_TOL = 1e-8  # infeasibility detection, relative to ||b||
+_TIGHT_SLACK = 1e-7  # relative dual slack at which a column counts as tight
+_EXACT_FIT = 1e-13  # relative residual at which A_S x_S = b counts as exact
 
 
 class SolverError(RuntimeError):
@@ -100,31 +104,72 @@ def _certificate(A, b, w, x, y):
     return max(rel_primal, dual_violation, gap), gap
 
 
-def _crossover(A, b, w, x, y):
-    """Refit a stalled near-optimal iterate onto its vertex exactly.
+def _face_fit(A, b, face):
+    """Least-squares solution of A_S x_S = b on the columns ``face``, zero elsewhere."""
+    x = np.zeros(A.shape[1])
+    x[face] = np.linalg.lstsq(A[:, face], b, rcond=None)[0]
+    return x
 
-    Takes the support suggested by the iterate, solves the primal on it by
-    least squares, and corrects the dual so complementarity holds exactly
-    there.  Returns None when the support is ambiguous (rank-deficient or
-    larger than the row count); the caller then reports the stall.
+
+def _face_pair(A, b, w, face):
+    """Primal-dual pair on the face S = ``face``: x_S fits b, y closes the face.
+
+    y solves A_S^T y = w_S sign(x_S) and minimizes t = max_{j not in S}
+    |a_j^T y| / w_j; the pair is exact when t <= 1.  With y = y0 + N u and N
+    spanning null(A_S^T), that is the Chebyshev problem min_u ||c + B u||_inf
+    over c_j = a_j^T y0 / w_j and B_j = a_j^T N / w_j.  Its LP dual
+
+        min c.(l+ - l-)  s.t.  B^T (l+ - l-) = 0,  1.(l+ + l-) + s = 1,  l+, l-, s >= 0
+
+    is in standard form, and the interior point solve of it returns (-u, -t)
+    as its dual variables.
     """
-    scale = float(np.abs(x).max())
-    if scale == 0.0:
-        return None
-    support = np.abs(x) > 1e-6 * scale
-    if int(support.sum()) > A.shape[0]:
-        return None
-    A_s = A[:, support]
-    xs, _, rank, _ = np.linalg.lstsq(A_s, b, rcond=None)
-    if rank < int(support.sum()):
-        return None
-    if np.linalg.norm(A_s @ xs - b) > 1e-10 * (1.0 + np.linalg.norm(b)):
-        return None
-    target = w[support] * np.sign(x[support])
-    dy = np.linalg.lstsq(A_s.T, target - A_s.T @ y, rcond=None)[0]
-    x_fit = np.zeros_like(x)
-    x_fit[support] = xs
-    return x_fit, y + dy
+    x = _face_fit(A, b, face)
+    A_s = A[:, face]
+    y = np.linalg.lstsq(A_s.T, w[face] * np.sign(x[face]), rcond=None)[0]
+    N = null_space(A_s.T)
+    if N.shape[1]:
+        off = np.ones(A.shape[1], dtype=bool)
+        off[face] = False
+        B = (A[:, off].T @ N) / w[off, None]
+        c = (A[:, off].T @ y) / w[off]
+        n, p = B.shape
+        G = np.block([[B.T, -B.T, np.zeros((p, 1))], [np.ones((1, 2 * n + 1))]])
+        rhs = np.zeros(p + 1)
+        rhs[p] = 1.0
+        y = y - N @ solve_lp(np.concatenate([c, -c, [0.0]]), G, rhs).y[:p]
+    return x, y
+
+
+def _face_crossover(A, b, w, y, tol):
+    """Certified vertex pair for an iterate that stalled near an optimal face.
+
+    On primal-degenerate vertices with a tiny nonzero the normal equations
+    lose rank and the iteration settles just short of the certificate.
+    ``T``, the columns where the dual is tight, then marks the optimal face
+    up to a column or two.  Candidate faces, in order: T grown one column at
+    a time by the largest |a_j^T r| / w_j of the fit residual r until
+    A_S x_S = b is exact; then T plus one further column, walking down the
+    dual-slack order.  Each is closed by :func:`_face_pair`, and the first
+    pair whose certificate is within ``tol`` is returned (None if none is).
+    """
+    slack = 1.0 - np.abs(A.T @ y) / w
+    order = np.argsort(slack, kind="stable")
+    n_tight = int(np.count_nonzero(slack <= _TIGHT_SLACK))
+    tight = order[:n_tight].tolist()
+    grown = list(tight)
+    residual = b - A @ _face_fit(A, b, grown)
+    exact = _EXACT_FIT * (1.0 + np.linalg.norm(b))
+    while np.linalg.norm(residual) > exact and len(grown) < A.shape[0]:
+        score = np.abs(A.T @ residual) / w
+        score[grown] = -1.0
+        grown.append(int(np.argmax(score)))
+        residual = b - A @ _face_fit(A, b, grown)
+    for face in chain([grown], (tight + [j] for j in order[n_tight:].tolist())):
+        pair = _face_pair(A, b, w, face)
+        if _certificate(A, b, w, *pair)[0] <= tol:
+            return pair
+    return None
 
 
 def _solve_reduced_lp(A, b, w, tol):
@@ -134,8 +179,7 @@ def _solve_reduced_lp(A, b, w, tol):
     {Ax = b}, then the pair (x, y) is accepted on its own certificate:
     primal feasibility, dual feasibility, and the true duality gap
     w.|x| - b.y must all be <= tol (relative).  Iterates that stall just
-    short of the tolerance (the centering occasionally collapses first on
-    near-degenerate instances) are refit exactly onto their vertex.
+    short of the tolerance are finished by :func:`_face_crossover`.
     """
     d = A.shape[1]
     G = np.hstack([A, -A])
@@ -152,16 +196,13 @@ def _solve_reduced_lp(A, b, w, tol):
 
     cert, gap = _certificate(A, b, w, x, y)
     if cert > tol:
-        refit = _crossover(A, b, w, x, y)
-        if refit is not None:
-            cert_fit, gap_fit = _certificate(A, b, w, *refit)
-            if cert_fit < cert:
-                x, y = refit
-                cert, gap = cert_fit, gap_fit
-    if cert > tol:
-        raise SolverError(
-            f"interior point iteration stalled (worst relative KKT residual {cert:.2e})"
-        )
+        pair = _face_crossover(A, b, w, y, tol)
+        if pair is None:
+            raise SolverError(
+                f"interior point iteration stalled (worst relative KKT residual {cert:.2e})"
+            )
+        x, y = pair
+        gap = _certificate(A, b, w, x, y)[1]
     return x, y, gap, res.iterations
 
 

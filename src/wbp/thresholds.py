@@ -27,7 +27,7 @@ import numpy as np
 
 from wbp.kernels import phi, phi_prime
 from wbp.model import PartitionModel, Weights
-from wbp.optimal import weight_objective
+from wbp.optimal import increasing_root, optimal_weight, optimal_weights, weight_objective
 
 _TAU_TOL = 1e-12
 _TAU_EDGE = 1e-8
@@ -100,20 +100,7 @@ def minimize_threshold(model: PartitionModel, weights: Weights) -> ThresholdResu
     if deriv(_TAU_EDGE) >= 0.0:
         tau_star = 0.0
     else:
-        lo, hi = _TAU_EDGE, 1.0
-        doublings = 0
-        while deriv(hi) < 0.0:
-            lo, hi = hi, 2.0 * hi
-            doublings += 1
-            if doublings > 60:  # pragma: no cover
-                raise RuntimeError("failed to bracket the threshold minimizer")
-        while hi - lo > _TAU_TOL:
-            mid = 0.5 * (lo + hi)
-            if deriv(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        tau_star = 0.5 * (lo + hi)
+        tau_star = increasing_root(deriv, _TAU_EDGE, _TAU_TOL)
     m_tilde = threshold_objective(model, weights, tau_star)
     lower = m_tilde - (2.0 / model.d) * math.sqrt(1.0 / min(model.alpha))
     return ThresholdResult(
@@ -139,9 +126,14 @@ def statdim_bounds(model: PartitionModel, result: ThresholdResult) -> StatDimBou
 def l1_threshold(s: int, d: int) -> float:
     """Normalized threshold mu_{s,d} of plain l1 recovery of s-sparse signals.
 
-    This is the k = 1 case with unit weight; s = 0 gives 0 (the descent
-    cone of the zero vector under any norm has statistical dimension 0 in
-    normalized units).  Requires 0 <= s < d.
+    This is the k = 1 case with unit weight, J(tau) = alpha (1 + tau^2) +
+    (1 - alpha) phi(tau) with alpha = s/d.  Its stationarity condition is
+    the optimal-weight equation, so the minimizer is ``optimal_weight(s/d)``
+    and no root find of its own is needed.  This is the statistical
+    dimension of the l1 descent cone divided by d (Amelunxen, Lotz, McCoy &
+    Tropp 2014).  s = 0 gives 0 (the descent cone of the zero vector under
+    any norm has statistical dimension 0 in normalized units).  Requires
+    0 <= s < d.
     """
     if not (isinstance(s, (int, np.integer)) and isinstance(d, (int, np.integer))):
         raise ValueError("s and d must be integers")
@@ -149,27 +141,23 @@ def l1_threshold(s: int, d: int) -> float:
         raise ValueError(f"need 0 <= s < d, got s={s}, d={d}")
     if s == 0:
         return 0.0
-    model = PartitionModel(d=int(d), blocks=(int(d),), alpha=(s / d,))
-    unit = Weights(omega=(1.0,), block_sizes=model.blocks)
-    return minimize_threshold(model, unit).m_tilde
+    alpha = s / d
+    w = optimal_weight(alpha)
+    return alpha * (1.0 + w * w) + (1.0 - alpha) * phi(w)
 
 
 def blockwise_threshold(model: PartitionModel) -> float:
     """Threshold under optimal weights, synthesized from per-block l1 thresholds.
 
-    Optimally weighted recovery decouples: the normalized threshold equals
-    sum_i rho_i * mu_{alpha_i |S_i|, |S_i|}, each block paying the plain l1
-    price of its own sparsity.  Fully observed blocks contribute their full
-    size fraction (mu -> 1 as s -> d).  Agrees with
-    ``minimize_threshold(model, optimal weights)`` to solver tolerance.
+    Optimally weighted recovery decouples: each block's raw optimal weight
+    is the minimizer of its own plain-l1 threshold, so with tau = 1 at the
+    raw weights J splits into sum_i rho_i * mu_{alpha_i |S_i|, |S_i|}, each
+    block paying the plain l1 price of its own sparsity.  Fully observed
+    blocks have weight 0 and contribute exactly their size fraction.
+    Agrees with ``minimize_threshold(model, optimal weights)`` to solver
+    tolerance.
     """
-    total = 0.0
-    for frac, size, count in zip(model.rho, model.blocks, model.support_counts):
-        if count == size:
-            total += frac
-        else:
-            total += frac * l1_threshold(count, size)
-    return total
+    return weight_objective(model, optimal_weights(model).raw)
 
 
 def phase_window(d: int, eta: float) -> float:

@@ -256,7 +256,7 @@ def test_criterion_9_invariant_suite():
         assert mid <= chord + 1e-12
     base = minimize_threshold(K2, w)
     for c in (0.3, 2.0, 11.0):
-        scaled = minimize_threshold(K2, w.scaled(c))
+        scaled = minimize_threshold(K2, Weights((0.4 * c, c), K2.blocks))
         np.testing.assert_allclose(scaled.m_tilde, base.m_tilde, atol=1e-11)
         np.testing.assert_allclose(scaled.tau_star, base.tau_star / c, rtol=1e-7)
 

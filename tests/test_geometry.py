@@ -7,14 +7,10 @@ the closed-form objective it is supposed to estimate.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wbp import (
     Weights,
-    dist_sq_terms,
     dist_sq_to_subdiff,
-    dual_norm_check,
     generate_instance,
     make_model,
     mc_expected_dist_sq,
@@ -67,15 +63,34 @@ def test_distance_matches_brute_force_grid():
 
 
 def test_dist_sq_terms_decomposition():
+    # the distance splits into on-support and off-support terms: zeroing g
+    # off the support leaves only the first, moving g onto the fixed points
+    # on the support leaves only the second
     inst = tiny_instance()
     w = np.full(6, 0.9)
+    tau = 1.1
     g = np.random.default_rng(2).standard_normal(6)
-    on_terms, off_terms = dist_sq_terms(g, inst, w, 1.1)
-    assert on_terms.shape == (inst.support.size,)
-    assert off_terms.shape == (6 - inst.support.size,)
-    assert on_terms.sum() + off_terms.sum() == pytest.approx(
-        dist_sq_to_subdiff(g, inst, w, 1.1), rel=1e-15
-    )
+    on = inst.support_mask
+    g_on = np.where(on, g, 0.0)
+    g_off = np.where(on, 0.0, g)
+    g_off[on] = inst.signs * w[on] * tau
+    assert dist_sq_to_subdiff(g_on, inst, w, tau) + dist_sq_to_subdiff(
+        g_off, inst, w, tau
+    ) == pytest.approx(dist_sq_to_subdiff(g, inst, w, tau), rel=1e-15)
+
+
+def test_distance_over_leading_axes():
+    inst = tiny_instance()
+    w = np.array([0.3, 1.0, 0.5, 2.0, 1.0, 0.7])
+    g = np.random.default_rng(4).standard_normal((2, 3, 6))
+    batch = dist_sq_to_subdiff(g, inst, w, 0.8)
+    assert batch.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            single = dist_sq_to_subdiff(g[i, j], inst, w, 0.8)
+            assert batch[i, j] == pytest.approx(single, rel=1e-15)
+    with pytest.raises(ValueError):
+        dist_sq_to_subdiff(g[..., :5], inst, w, 0.8)
 
 
 def test_distance_accepts_blockwise_weights():
@@ -124,45 +139,3 @@ def test_mc_input_validation():
         mc_expected_dist_sq(K2, UNIT2, 1.0, 1, seed=0)
     with pytest.raises(ValueError):
         mc_expected_dist_sq(K2, Weights((1.0,), (100,)), 1.0, 100, seed=0)
-
-
-# --------------------------------------------------------------- dual norm
-
-
-def test_dual_norm_simple_values():
-    assert dual_norm_check(np.array([1.0, 2.0, 1.0]),
-                           np.array([0.5, 3.0, 0.2])) == pytest.approx(5.0)
-    assert dual_norm_check(np.array([-4.0, 1.0]),
-                           np.array([2.0, 1.0])) == pytest.approx(2.0)
-
-
-def test_dual_norm_matches_vertex_enumeration():
-    # the unit ball of ||.||_{1,w} is a crosspolytope with vertices
-    # +-e_j / w_j, so maximizing the linear form <p, .> over them is exact;
-    # random interior points can only fall below that value
-    rng = np.random.default_rng(0)
-    p = rng.standard_normal(12)
-    w = rng.uniform(0.2, 2.0, 12)
-    value = dual_norm_check(p, w)
-    vertex_best = max(abs(p[j]) / w[j] for j in range(12))
-    np.testing.assert_allclose(value, vertex_best, rtol=1e-15)
-    for _ in range(200):
-        v = rng.standard_normal(12)
-        v /= np.sum(w * np.abs(v))
-        assert abs(p @ v) <= value + 1e-12
-
-
-@given(st.floats(0.1, 10.0))
-@settings(max_examples=30)
-def test_dual_norm_is_homogeneous(c):
-    p = np.array([0.5, -1.5, 2.5])
-    w = np.array([1.0, 0.5, 2.0])
-    np.testing.assert_allclose(dual_norm_check(c * p, w),
-                               c * dual_norm_check(p, w), rtol=1e-12)
-
-
-def test_dual_norm_rejects_zero_weights():
-    with pytest.raises(ValueError):
-        dual_norm_check(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        dual_norm_check(np.array([1.0]), np.array([1.0, 2.0]))

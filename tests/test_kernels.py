@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from wbp import erfc, phi, phi_prime
+from wbp import phi, phi_prime
 from wbp.kernels import SQRT_2_OVER_PI
 
 
@@ -83,12 +83,6 @@ def test_nan_rejected():
         phi(float("nan"))
     with pytest.raises(ValueError):
         phi_prime(np.array([0.0, float("nan")]))
-
-
-def test_erfc_basics():
-    assert erfc(0.0) == 1.0
-    np.testing.assert_allclose(erfc(1.0), 0.15729920705028513, rtol=1e-14)
-    np.testing.assert_allclose(erfc(np.array([0.5])), [0.4795001221869535], rtol=1e-14)
 
 
 @given(st.floats(0.0, 40.0), st.floats(0.0, 40.0))

@@ -1,20 +1,31 @@
 """Tests for the weighted basis pursuit solver and its certificates."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy import optimize
 
 from wbp import (
     BPProblem,
+    ExperimentConfig,
     SolverError,
+    apply_strategy,
+    generate_instance,
     kkt_residuals,
+    load_experiment_config,
     load_matrix,
     load_vector,
     recovery_success,
+    run_trial,
     save_matrix,
     save_vector,
     weighted_bp,
 )
+from wbp import solver
+from wbp.ipm import LPResult
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def random_problem(seed, m=10, d=24, sparsity=4, w_lo=0.2, w_hi=2.0):
@@ -147,6 +158,59 @@ def test_objective_matches_linprog(seed):
         b_eq=problem.b, bounds=(0, None), method="highs",
     )
     np.testing.assert_allclose(sol.objective, ref.fun, rtol=1e-7, atol=1e-9)
+
+
+# Trials on which the interior point iteration stalls just short of its
+# certificate (primal-degenerate optimal vertices), each built like one
+# 25-trial cell of a bundled config run with master seed ``seed``.  The
+# seed-2 trials share one A and recover x0; the others are genuine
+# non-recoveries.
+STALLED_TRIALS = [
+    (1, "k4_phase", "merge0-1-2+optimal", 15, 0, False),
+    (2, "k2_phase", "unit", 31, 21, True),
+    (2, "k2_phase", "one_minus_alpha", 31, 21, True),
+    (2, "k2_phase", "optimal", 31, 21, True),
+    (2, "k4_phase", "optimal", 31, 21, True),
+    (2, "k4_phase", "merge0-1-2+optimal", 31, 21, True),
+    (10, "k2_phase", "one_minus_alpha", 27, 12, False),
+    (17, "k2_phase", "one_minus_alpha", 25, 19, False),
+    (18, "k4_phase", "optimal", 22, 7, False),
+]
+
+
+@pytest.mark.parametrize("seed,name,label,m,trial,recovered", STALLED_TRIALS)
+def test_stalled_trial_closes_on_a_certified_face(seed, name, label, m, trial, recovered):
+    base = load_experiment_config(os.path.join(CONFIGS, name + ".json"))
+    (strategy,) = [s for s in base.strategies if s.label == label]
+    config = ExperimentConfig(model=base.model, strategies=(strategy,), m_values=(m,),
+                              trials_per_m=25, master_seed=seed)
+    inst_ss, mat_ss = np.random.SeedSequence((seed, 0, m, trial)).spawn(2)
+    x0 = generate_instance(config.model, inst_ss).x0
+    A = np.random.default_rng(mat_ss).standard_normal((m, config.model.d))
+    problem = BPProblem(A, A @ x0, apply_strategy(config.model, strategy).original_weights.expand())
+    sol = weighted_bp(problem)
+    assert solver._certificate(problem.A, problem.b, problem.w, sol.x_hat, sol.y)[0] <= 1e-8
+    assert run_trial(config, strategy, m, trial) is recovered
+    if recovered:
+        np.testing.assert_allclose(sol.x_hat, x0, atol=1e-9)
+    else:
+        ref = optimize.linprog(np.concatenate([problem.w, problem.w]),
+                               A_eq=np.hstack([A, -A]), b_eq=problem.b,
+                               bounds=(0, None), method="highs")
+        np.testing.assert_allclose(sol.objective, ref.fun, rtol=1e-7)
+
+
+def test_stall_without_a_certified_face_raises(monkeypatch):
+    # a dual tight on every column leaves only the dense least-norm face,
+    # which no dual closes, so the stall is reported instead of accepted
+    def stalled(c, G, b, tol=1e-8, max_iter=100):
+        m, n = G.shape
+        return LPResult(np.zeros(n), np.full(m, 1e9), np.zeros(n), False, 0, 1.0, 1.0, 1.0)
+
+    monkeypatch.setattr(solver, "solve_lp", stalled)
+    problem, _ = random_problem(3)
+    with pytest.raises(SolverError, match="stalled"):
+        weighted_bp(problem)
 
 
 def test_dual_certificate_properties():

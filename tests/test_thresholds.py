@@ -100,7 +100,7 @@ def test_measurement_scaling():
 def test_scale_invariance_of_weights():
     w = Weights((0.4, 1.0), (10, 90))
     base = minimize_threshold(K2, w)
-    scaled = minimize_threshold(K2, w.scaled(3.0))
+    scaled = minimize_threshold(K2, Weights((1.2, 3.0), (10, 90)))
     np.testing.assert_allclose(scaled.m_tilde, base.m_tilde, atol=1e-12)
     np.testing.assert_allclose(scaled.tau_star, base.tau_star / 3.0, atol=1e-9)
 
